@@ -204,30 +204,20 @@ class AttentionReport:
         return max(self.rules, key=lambda r: r.attention_mass).index
 
 
-def inspect(model, instance, option: Optional[int] = None) -> AttentionReport:
-    """Per-rule attention mass and similarity for one instance.
+def _rule_masses(model, instance, option: int):
+    """(rules, trace, masses) for one option of the model's last forward.
 
-    Attention mass: final reasoning layer weights summed over each rule's
-    token span, averaged over heads and query positions, then normalized to
-    sum 1 across rules. Similarity: dot product between the reasoning
-    stack's final [CLS] vector and the rule's mean-pooled knowledge-encoder
-    representation.
+    Mass: final reasoning layer weights summed over each rule's token span,
+    averaged over heads and query positions, then normalized to sum 1 across
+    rules.
     """
-    was_training = model.training
-    model.eval_mode()
     if isinstance(instance, AlphaNliInstance):
-        _, prediction = model.forward_alpha_nli(instance)
-        opt = option if option is not None else prediction
-        rules = instance.rules_per_option[opt - 1]
+        rules = instance.rules_per_option[option - 1]
     else:
-        _, prediction = model.forward_cip(instance)
-        opt = 1
         rules = instance.rules
-    if was_training:
-        model.train_mode()
     if not rules:
         raise PerturbationError(f"instance {instance.id} has no rules to inspect")
-    trace = model.last_traces[opt]
+    trace = model.last_traces[option]
     spans = trace.knowledge_seq.rule_spans
     weights = trace.reasoning_attention  # (heads, queries, knowledge positions)
     masses = np.array([weights[:, :, a:b].sum() for a, b in spans], dtype=np.float64)
@@ -235,9 +225,28 @@ def inspect(model, instance, option: Optional[int] = None) -> AttentionReport:
     total = masses.sum()
     if total > 0:
         masses = masses / total
+    return rules, trace, masses
+
+
+def inspect(model, instance, option: Optional[int] = None) -> AttentionReport:
+    """Per-rule attention mass and similarity for one instance.
+
+    Attention mass: see `_rule_masses`. Similarity: dot product between the
+    reasoning stack's final [CLS] vector and the rule's mean-pooled
+    knowledge-encoder representation.
+    """
+    was_training = model.training
+    model.eval_mode()
+    prediction = model.predict(instance)
+    if was_training:
+        model.train_mode()
+    opt = 1
+    if isinstance(instance, AlphaNliInstance):
+        opt = option if option is not None else prediction
+    rules, trace, masses = _rule_masses(model, instance, opt)
     sims = [
         float(trace.cls_vector @ trace.knowledge_hidden[a:b].mean(axis=0))
-        for a, b in spans
+        for a, b in trace.knowledge_seq.rule_spans
     ]
     report = AttentionReport(
         instance_id=instance.id,
@@ -261,26 +270,25 @@ def inspect(model, instance, option: Optional[int] = None) -> AttentionReport:
 
 def decisive_top_rate(model, instances, decisive_index: dict) -> dict:
     """Fraction of correctly predicted instances whose planted decisive rule
-    carries the top attention mass."""
+    carries the top attention mass. One eval-mode forward per instance; the
+    caller's mode is restored afterwards."""
+    was_training = model.training
+    model.eval_mode()
     correct_total = 0
     hits = 0
     for inst in instances:
-        option = 1
-        if isinstance(inst, AlphaNliInstance):
-            _, prediction = model.forward_alpha_nli(inst)
-            if prediction != inst.gold:
-                continue
-            option = prediction
-        else:
-            _, prediction = model.forward_cip(inst)
-            if prediction != inst.gold:
-                continue
+        prediction = model.predict(inst)
+        if prediction != inst.gold:
+            continue
+        option = prediction if isinstance(inst, AlphaNliInstance) else 1
         planted = decisive_index.get((inst.id, option))
         if planted is None:
             continue
         correct_total += 1
-        report = inspect(model, inst, option=option)
-        if report.top_rule_index() == planted:
+        _, _, masses = _rule_masses(model, inst, option)
+        if int(np.argmax(masses)) == planted:
             hits += 1
+    if was_training:
+        model.train_mode()
     rate = hits / correct_total if correct_total else 0.0
     return {"correct_with_decisive": correct_total, "top_hits": hits, "rate": rate}

@@ -19,6 +19,7 @@ where <task> is `alpha` or `cip`.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -85,8 +86,15 @@ def run_from_manifest(manifest_path, out=None) -> int:
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     argv = list(manifest["argv"])
     if out is not None:
-        idx = argv.index("--out")
-        argv[idx + 1] = str(out)
+        for i, arg in enumerate(argv):
+            if arg == "--out":
+                argv[i + 1] = str(out)
+                break
+            if arg.startswith("--out="):
+                argv[i] = f"--out={out}"
+                break
+        else:
+            raise ConfigError(f"manifest {manifest_path} records no --out flag to redirect")
     return main(argv)
 
 
@@ -278,6 +286,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _fit_metrics(arch, mc, vocab, train_set, dev_set, cfg: tr.TrainConfig) -> tr.Metrics:
+    return tr.fit(arch, mc, vocab, train_set, dev_set, cfg)[1]
+
+
 def cmd_gridsearch(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,11 +305,8 @@ def cmd_gridsearch(args) -> int:
     dev_set = _load_split(args.data, task, "dev")
     vocab = _build_vocab_for(args, train_set)
     mc, tc, resolved = _resolve_configs(args, len(vocab))
-
-    def run(cfg: tr.TrainConfig) -> tr.Metrics:
-        _, metrics = tr.fit(resolved["arch"], mc, vocab, train_set, dev_set, cfg)
-        return metrics
-
+    # module-level and bound by partial, so that worker processes can unpickle it
+    run = functools.partial(_fit_metrics, resolved["arch"], mc, vocab, train_set, dev_set)
     best, table = tr.grid_search(run, grid, tc, jobs=args.jobs)
     _write_jsonl(out / "grid.jsonl", table)
     _write_json(out / "best_config.json", best.to_dict())

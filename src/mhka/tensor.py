@@ -7,12 +7,17 @@ exists before its consumer), so `backward` replays nodes by descending
 creation id.
 
 All data lives in numpy arrays. float64 is the default; models may run in
-float32, gradient checks must not.
+float32, gradient checks must not. An op's output has its inputs' dtype, and
+so do the gradients its backward returns; constants inside ops are Python
+floats, which numpy treats as weakly typed, and operator constants
+(`x + 1.0`) take the other operand's dtype. A float32 graph therefore never
+widens to float64.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -78,13 +83,13 @@ class Tensor:
 
     # Operator sugar; constants are wrapped as non-grad tensors.
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return add(self, scale(_wrap(other), -1.0))
+        return add(self, scale(_wrap(other, self), -1.0))
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -114,8 +119,9 @@ def _reachable(root: Tensor) -> list[Tensor]:
     return out
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _wrap(x, like: Tensor) -> Tensor:
+    """A constant operand as a non-grad tensor in `like`'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -158,6 +164,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
+    s = float(s)
+
     def backward(g):
         return (g * s,)
 
@@ -185,7 +193,7 @@ def relu(a: Tensor) -> Tensor:
     return _make(a.data * mask, (a,), backward)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
@@ -383,9 +391,10 @@ def attention(
     qh = q.data.reshape(m, n_heads, dz).transpose(1, 0, 2)
     kh = k.data.reshape(w, n_heads, dz).transpose(1, 0, 2)
     vh = v.data.reshape(w, n_heads, dz).transpose(1, 0, 2)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dz)
+    root = math.sqrt(dz)
+    scores = qh @ kh.transpose(0, 2, 1) / root
     if mask is not None:
-        scores = scores + mask
+        scores = scores + mask.astype(scores.dtype, copy=False)
     weights = _softmax(scores, axis=-1)
     out = (weights @ vh).transpose(1, 0, 2).reshape(m, d)
 
@@ -394,8 +403,8 @@ def attention(
         dwts = gh @ vh.transpose(0, 2, 1)
         dvh = weights.transpose(0, 2, 1) @ gh
         ds = weights * (dwts - (dwts * weights).sum(axis=-1, keepdims=True))
-        dqh = ds @ kh / np.sqrt(dz)
-        dkh = ds.transpose(0, 2, 1) @ qh / np.sqrt(dz)
+        dqh = ds @ kh / root
+        dkh = ds.transpose(0, 2, 1) @ qh / root
         return (
             dqh.transpose(1, 0, 2).reshape(m, d),
             dkh.transpose(1, 0, 2).reshape(w, d),

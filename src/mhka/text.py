@@ -133,8 +133,10 @@ class TokenSequence:
 
 def _check_task_framing(seq: TokenSequence, vocab: Vocabulary):
     ids = seq.ids
-    assert ids[0] == vocab.cls_id and ids[-1] == vocab.sep_id
-    assert vocab.pad_id not in ids
+    if ids[0] != vocab.cls_id or ids[-1] != vocab.sep_id:
+        raise EncodingError("task sequence must open with [CLS] and close with [SEP]")
+    if vocab.pad_id in ids:
+        raise EncodingError("task sequence must not contain [PAD]")
 
 
 def _truncate_longest_first(spans: list[list[int]], budget: int):

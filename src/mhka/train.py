@@ -160,8 +160,10 @@ def grid_search(
     jobs: int = 1,
 ) -> tuple[TrainConfig, list[dict]]:
     """Exhaustive sweep over the grid axes. `run` trains one model and
-    returns its Metrics; rows come back in deterministic grid order. Best is
-    by dev accuracy, ties broken by (lower lr, smaller batch, fewer epochs).
+    returns its Metrics; with jobs > 1 it must be picklable (a module-level
+    function, or a functools.partial of one). Rows come back in deterministic
+    grid order. Best is by dev accuracy, ties broken by (lower lr, smaller
+    batch, fewer epochs).
     """
     if not grid:
         raise ConfigError("grid must not be empty")
@@ -169,9 +171,13 @@ def grid_search(
     combos = [dict(zip(axes, values)) for values in itertools.product(*(grid[a] for a in axes))]
     configs = [replace(base, **combo) for combo in combos]
     if jobs > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # spawn, not fork: workers start clean instead of inheriting the
+        # parent's BLAS thread pools and open files
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
             results = list(pool.map(run, configs))
     else:
         results = [run(cfg) for cfg in configs]

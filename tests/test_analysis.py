@@ -212,3 +212,31 @@ class TestInspect:
         out = decisive_top_rate(model, test[:6], decisive)
         assert set(out) == {"correct_with_decisive", "top_hits", "rate"}
         assert 0.0 <= out["rate"] <= 1.0
+
+    def test_decisive_top_rate_matches_inspect_on_eval_model(self, trained):
+        model, test, decisive, _, _ = trained
+        assert not model.training
+        correct, hits = 0, 0
+        for inst in test:
+            report = inspect(model, inst)
+            planted = decisive.get((inst.id, report.option))
+            if report.correct and planted is not None:
+                correct += 1
+                hits += report.top_rule_index() == planted
+        out = decisive_top_rate(model, test, decisive)
+        assert correct > 0
+        assert (out["correct_with_decisive"], out["top_hits"]) == (correct, hits)
+
+    def test_decisive_top_rate_ignores_training_mode(self, trained):
+        model, test, decisive, _, _ = trained
+        expected = decisive_top_rate(model, test, decisive)
+        model.train_mode()
+        try:
+            state = model.rng.bit_generator.state
+            first = decisive_top_rate(model, test, decisive)
+            second = decisive_top_rate(model, test, decisive)
+            assert model.training
+            assert model.rng.bit_generator.state == state
+        finally:
+            model.eval_mode()
+        assert first == second == expected

@@ -84,6 +84,16 @@ class TestTrainEval:
         run_from_manifest(trained / "manifest.json", out=out)
         assert (out / "metrics.jsonl").read_bytes() == original
 
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_manifest_replay_redirects_either_out_form(self, tmp_path, form):
+        first = tmp_path / "first"
+        out_args = ("--out", first) if form == "separate" else (f"--out={first}",)
+        run(*synth_args(first, n=8)[:-2], *out_args)
+        replayed = tmp_path / "replayed"
+        assert run_from_manifest(first / "manifest.json", out=replayed) == 0
+        name = "alpha_train.jsonl"
+        assert (replayed / name).read_bytes() == (first / name).read_bytes()
+
 
 class TestPerturbInspect:
     def test_perturb_identity(self, dataset, trained, tmp_path):
@@ -173,6 +183,21 @@ class TestOtherCommands:
         assert len(read_jsonl(out / "grid.jsonl")) == 1
         best = json.loads((out / "best_config.json").read_text())
         assert best["lr"] == 1e-3
+
+    def test_gridsearch_jobs_two_matches_jobs_one(self, dataset, tmp_path, capsys):
+        printed, tables = [], []
+        for jobs in (1, 2):
+            out = tmp_path / f"gs{jobs}"
+            run("gridsearch", "--data", dataset, "--out", out, "--seed", 2,
+                "--grid", json.dumps({"lr": [1e-3, 3e-4], "epochs": [1]}),
+                "--d_model", 8, "--n_heads", 2, "--ctx_layers", 1, "--know_layers", 1,
+                "--reason_layers", 1, "--d_ff", 16, "--batch_size", 4, "--arch", "blind",
+                "--jobs", jobs)
+            printed.append(capsys.readouterr().out)
+            tables.append((out / "grid.jsonl").read_bytes())
+        assert len(tables[0].splitlines()) == 2
+        assert tables[0] == tables[1]
+        assert printed[0] == printed[1]
 
     def test_ablate_flags_bad_cells(self, dataset, tmp_path):
         out = tmp_path / "ab"

@@ -14,6 +14,7 @@ from mhka.model import (
     build_model,
     classify,
 )
+from mhka.synth import SynthConfig, corpus_texts, synth_generate
 from mhka.tensor import Tensor
 
 
@@ -307,3 +308,48 @@ class TestGradientIntegrity:
 
         report = check_gradients(loss_fn, params, h=1e-4)
         assert report.ok(1e-3), f"{report.worst_param}: {report.max_rel_error}"
+
+
+def _graph(root):
+    seen, stack, nodes = {id(root)}, [root], [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+                nodes.append(p)
+    return nodes
+
+
+class TestFloat32Graph:
+    @pytest.mark.parametrize("arch", ["mhka", "joint", "blind"])
+    @pytest.mark.parametrize("task", ["alpha", "cip"])
+    def test_every_node_and_gradient_float32(self, vocab, alpha, cip, arch, task):
+        model = make_model(vocab, arch, dtype="float32", dropout=0.1)
+        model.train_mode()  # dropout nodes too
+        loss, _ = model.instance_loss(alpha if task == "alpha" else cip)
+        nodes = _graph(loss)
+        wide = [n.shape for n in nodes if n.data.dtype != np.float32]
+        assert not wide, f"{len(wide)} of {len(nodes)} nodes are not float32: {wide[:5]}"
+        loss.backward()
+        for name, p in model.parameters().items():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
+
+    @pytest.mark.parametrize("arch", ["mhka", "joint", "blind"])
+    def test_float32_logits_track_float64(self, arch):
+        suites = synth_generate(SynthConfig(n_instances=12, seed=5, rules_per_instance=8))
+        vocab = tx.build_vocab(corpus_texts(suites["alpha"] + suites["cip"]))
+        cfg = dict(vocab_size=len(vocab), d_model=32, n_heads=4, ctx_layers=1,
+                   know_layers=1, reason_layers=2, d_ff=64)
+        m32 = build_model(arch, ModelConfig(**cfg, dtype="float32"), vocab, seed=1)
+        m64 = build_model(arch, ModelConfig(**cfg, dtype="float64"), vocab, seed=1)
+        for name, p in m64.parameters().items():
+            p.data = m32.parameters()[name].data.astype(np.float64)
+        m32.eval_mode()
+        m64.eval_mode()
+        for inst in suites["alpha"] + suites["cip"]:
+            forward = "forward_alpha_nli" if isinstance(inst, AlphaNliInstance) else "forward_cip"
+            z32 = getattr(m32, forward)(inst)[0].data
+            z64 = getattr(m64, forward)(inst)[0].data
+            assert z32.dtype == np.float32
+            assert np.all(np.abs(z32 - z64) <= 1e-5 * (1.0 + np.abs(z64))), inst.id

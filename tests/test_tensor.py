@@ -304,3 +304,64 @@ class TestAttentionSemantics:
         for h in range(2):
             assert np.allclose(np.triu(weights[h], k=1), 0.0)
             assert np.allclose(weights[h].sum(axis=1), 1.0)
+
+
+def f32(shape, seed=0):
+    data = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+    return T.Tensor(data, requires_grad=True)
+
+
+# every differentiable op on float32 inputs; constants and masks are left in
+# the form callers write them (Python floats, float64 masks)
+FLOAT32_OPS = {
+    "add_broadcast": lambda: T.add(f32((3, 4)), f32((4,), 1)),
+    "mul": lambda: T.mul(f32((3, 4)), f32((3, 4), 1)),
+    "scale": lambda: T.scale(f32((3, 4)), 0.5),
+    "scale_numpy_scalar": lambda: T.scale(f32((3, 4)), np.float64(0.5)),
+    "matmul": lambda: T.matmul(f32((3, 4)), f32((4, 2), 1)),
+    "relu": lambda: T.relu(f32((3, 4))),
+    "gelu": lambda: T.gelu(f32((3, 4))),
+    "softmax": lambda: T.softmax(f32((3, 4)), axis=-1),
+    "layer_norm": lambda: T.layer_norm(f32((3, 4)), f32((4,), 1), f32((4,), 2)),
+    "cross_entropy_multiclass": lambda: T.cross_entropy(f32((3,)), 1),
+    "cross_entropy_binary": lambda: T.cross_entropy(f32((1,)), "no"),
+    "embedding": lambda: T.embedding(f32((5, 4)), np.array([0, 3, 3])),
+    "slice_rows": lambda: T.slice_rows(f32((5, 4)), 1, 3),
+    "concat": lambda: T.concat([f32((2, 4)), f32((3, 4), 1)], axis=0),
+    "reshape": lambda: T.reshape(f32((3, 4)), (4, 3)),
+    "tsum": lambda: T.tsum(f32((3, 4))),
+    "mean": lambda: T.mean(f32((3, 4))),
+    "dropout": lambda: T.dropout(f32((3, 4)), 0.5, np.random.default_rng(0)),
+    "attention": lambda: T.attention(f32((3, 4)), f32((5, 4), 1), f32((5, 4), 2), 2)[0],
+    "attention_causal_float64_mask": lambda: T.attention(
+        f32((4, 4)), f32((4, 4), 1), f32((4, 4), 2), 2, mask=T.causal_mask(4))[0],
+    "plus_python_float": lambda: f32((3, 4)) + 1.0,
+    "python_float_plus": lambda: 1.0 + f32((3, 4)),
+    "minus_python_float": lambda: f32((3, 4)) - 1.0,
+    "times_python_float": lambda: f32((3, 4)) * 2.0,
+    "negate": lambda: -f32((3, 4)),
+}
+
+
+class TestFloat32Stays:
+    """An op's output and the gradients its backward returns have its
+    inputs' dtype; nothing widens float32 to float64."""
+
+    @pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
+    def test_forward_and_backward_dtype(self, name):
+        out = FLOAT32_OPS[name]()
+        assert out.data.dtype == np.float32
+        grads = out._backward_fn(np.ones_like(out.data))
+        for g in grads:
+            assert g is not None and np.asarray(g).dtype == np.float32
+
+    def test_attention_weights_float32(self):
+        _, weights = T.attention(f32((4, 4)), f32((4, 4), 1), f32((4, 4), 2), 2,
+                                 mask=T.causal_mask(4))
+        assert weights.dtype == np.float32
+
+    def test_float64_unchanged(self):
+        x = param(np.arange(6.0).reshape(2, 3))
+        assert (x + 1.0).data.dtype == np.float64
+        out, weights = T.attention(x, x, x, 1, mask=T.causal_mask(2, dtype=np.float32))
+        assert out.data.dtype == weights.dtype == np.float64

@@ -226,3 +226,17 @@ class TestFramingProperties:
         start = 1 + len(tx.tokenize(o1))
         assert s1.ids[:start].tolist() == s2.ids[:start].tolist()
         assert s1.ids[start + n1 :].tolist() == s2.ids[start + n2 :].tolist()
+
+
+class TestFramingCheck:
+    def test_missing_cls_rejected(self):
+        vocab = vocab_over("a b")
+        seq = tx.TokenSequence([vocab.encode_token("a"), vocab.sep_id])
+        with pytest.raises(EncodingError, match=r"\[CLS\]"):
+            tx._check_task_framing(seq, vocab)
+
+    def test_pad_id_rejected(self):
+        vocab = vocab_over("a b")
+        seq = tx.TokenSequence([vocab.cls_id, vocab.pad_id, vocab.sep_id])
+        with pytest.raises(EncodingError, match=r"\[PAD\]"):
+            tx._check_task_framing(seq, vocab)
