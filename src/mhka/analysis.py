@@ -11,13 +11,12 @@ import numpy as np
 from .data import (
     RELATIONS,
     AlphaNliInstance,
-    CipInstance,
     KnowledgeRule,
     copy_alpha_instance,
     copy_cip_instance,
 )
 from .errors import ConfigError, PerturbationError
-from .model import ModelConfig, build_model
+from .model import ModelConfig
 from .train import TrainConfig, evaluate, fit
 
 PERTURBATION_MODES = (
@@ -204,28 +203,44 @@ class AttentionReport:
         return max(self.rules, key=lambda r: r.attention_mass).index
 
 
-def _rule_masses(model, instance, option: int):
-    """(rules, trace, masses) for one option of the model's last forward.
+def _traced_forward(model, instance):
+    """(prediction, traces) of one eval-mode forward; the caller's mode is
+    restored afterwards."""
+    was_training = model.training
+    model.eval_mode()
+    try:
+        _, prediction, traces = model.forward(instance)
+    finally:
+        if was_training:
+            model.train_mode()
+    if not traces:
+        raise ConfigError(
+            f"attention inspection needs an mhka model, not a {model.arch} one"
+        )
+    return prediction, traces
 
-    Mass: final reasoning layer weights summed over each rule's token span,
-    averaged over heads and query positions, then normalized to sum 1 across
-    rules.
-    """
-    if isinstance(instance, AlphaNliInstance):
-        rules = instance.rules_per_option[option - 1]
-    else:
-        rules = instance.rules
+
+def _option_rules(instance, option: int):
+    rules = (instance.rules_per_option[option - 1]
+             if isinstance(instance, AlphaNliInstance) else instance.rules)
     if not rules:
         raise PerturbationError(f"instance {instance.id} has no rules to inspect")
-    trace = model.last_traces[option]
-    spans = trace.knowledge_seq.rule_spans
+    return rules
+
+
+def _rule_masses(trace) -> np.ndarray:
+    """Per-rule attention mass of one option's trace: final reasoning layer
+    weights summed over each rule's token span, averaged over heads and
+    query positions, then normalized to sum 1 across rules.
+    """
     weights = trace.reasoning_attention  # (heads, queries, knowledge positions)
-    masses = np.array([weights[:, :, a:b].sum() for a, b in spans], dtype=np.float64)
+    masses = np.array([weights[:, :, a:b].sum() for a, b in trace.knowledge_seq.rule_spans],
+                      dtype=np.float64)
     masses /= weights.shape[0] * weights.shape[1]
     total = masses.sum()
     if total > 0:
         masses = masses / total
-    return rules, trace, masses
+    return masses
 
 
 def inspect(model, instance, option: Optional[int] = None) -> AttentionReport:
@@ -235,15 +250,13 @@ def inspect(model, instance, option: Optional[int] = None) -> AttentionReport:
     reasoning stack's final [CLS] vector and the rule's mean-pooled
     knowledge-encoder representation.
     """
-    was_training = model.training
-    model.eval_mode()
-    prediction = model.predict(instance)
-    if was_training:
-        model.train_mode()
+    prediction, traces = _traced_forward(model, instance)
     opt = 1
     if isinstance(instance, AlphaNliInstance):
         opt = option if option is not None else prediction
-    rules, trace, masses = _rule_masses(model, instance, opt)
+    rules = _option_rules(instance, opt)
+    trace = traces[opt]
+    masses = _rule_masses(trace)
     sims = [
         float(trace.cls_vector @ trace.knowledge_hidden[a:b].mean(axis=0))
         for a, b in trace.knowledge_seq.rule_spans
@@ -272,12 +285,10 @@ def decisive_top_rate(model, instances, decisive_index: dict) -> dict:
     """Fraction of correctly predicted instances whose planted decisive rule
     carries the top attention mass. One eval-mode forward per instance; the
     caller's mode is restored afterwards."""
-    was_training = model.training
-    model.eval_mode()
     correct_total = 0
     hits = 0
     for inst in instances:
-        prediction = model.predict(inst)
+        prediction, traces = _traced_forward(model, inst)
         if prediction != inst.gold:
             continue
         option = prediction if isinstance(inst, AlphaNliInstance) else 1
@@ -285,10 +296,8 @@ def decisive_top_rate(model, instances, decisive_index: dict) -> dict:
         if planted is None:
             continue
         correct_total += 1
-        _, _, masses = _rule_masses(model, inst, option)
-        if int(np.argmax(masses)) == planted:
+        _option_rules(inst, option)  # raises for an option without rules
+        if int(np.argmax(_rule_masses(traces[option]))) == planted:
             hits += 1
-    if was_training:
-        model.train_mode()
     rate = hits / correct_total if correct_total else 0.0
     return {"correct_with_decisive": correct_total, "top_hits": hits, "rate": rate}

@@ -27,8 +27,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis as an
 from . import data as D
 from . import synth as sy
@@ -60,12 +58,6 @@ def _sha256(path: Path) -> str:
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_jsonl(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _finish(args, resolved: dict, reports: list[Path]) -> None:
@@ -166,12 +158,8 @@ def _load_decisive(data_dir, task, split) -> dict:
     return out
 
 
-def _corpus(instances) -> list[str]:
-    return sy.corpus_texts(instances)
-
-
 def _build_vocab_for(args, instances) -> tx.Vocabulary:
-    return tx.build_vocab(_corpus(instances), min_count=getattr(args, "min_count", 1) or 1)
+    return tx.build_vocab(sy.corpus_texts(instances), min_count=getattr(args, "min_count", 1) or 1)
 
 
 def _metrics_rows(run_id, arch, task, seed, metrics, test_accuracy=None,
@@ -218,11 +206,11 @@ def cmd_synth(args) -> int:
         for split, (lo, hi) in bounds.items():
             chunk = instances[lo:hi]
             dpath = _split_path(out, task, split)
-            _write_jsonl(dpath, [record(i) for i in chunk])
+            D.write_jsonl(dpath, [record(i) for i in chunk])
             kpath = out / f"knowledge_{task}_{split}.jsonl"
-            _write_jsonl(kpath, [r for i in chunk for r in D.knowledge_records(i)])
+            D.write_jsonl(kpath, [r for i in chunk for r in D.knowledge_records(i)])
             ipath = out / f"decisive_{task}_{split}.jsonl"
-            _write_jsonl(
+            D.write_jsonl(
                 ipath,
                 [
                     {"id": i.id, "option": opt, "rule_index": decisive[(i.id, opt)]}
@@ -260,7 +248,7 @@ def cmd_train(args) -> int:
     rows = _metrics_rows(f"train-{args.seed}", resolved["arch"], task, args.seed,
                          metrics, test_acc, config=tc.to_dict(),
                          checkpoint=ckpt.name)  # relative to the run's out dir
-    _write_jsonl(out / "metrics.jsonl", rows)
+    D.write_jsonl(out / "metrics.jsonl", rows)
     _finish(args, resolved, [out / "metrics.jsonl", out / "vocab.txt"])
     print(f"train: best dev {metrics.best_dev_accuracy:.4f} "
           f"(epoch {metrics.best_epoch})"
@@ -277,7 +265,7 @@ def cmd_eval(args) -> int:
     instances = _load_split(args.data, task, args.split, args.knowledge)
     acc = tr.evaluate(model, instances)
     report = out / "eval.jsonl"
-    _write_jsonl(report, [{
+    D.write_jsonl(report, [{
         "checkpoint": str(args.checkpoint), "task": task, "split": args.split,
         "n": len(instances), "accuracy": acc,
     }])
@@ -308,7 +296,7 @@ def cmd_gridsearch(args) -> int:
     # module-level and bound by partial, so that worker processes can unpickle it
     run = functools.partial(_fit_metrics, resolved["arch"], mc, vocab, train_set, dev_set)
     best, table = tr.grid_search(run, grid, tc, jobs=args.jobs)
-    _write_jsonl(out / "grid.jsonl", table)
+    D.write_jsonl(out / "grid.jsonl", table)
     _write_json(out / "best_config.json", best.to_dict())
     _finish(args, {**resolved, "grid": grid}, [out / "grid.jsonl", out / "best_config.json"])
     print(f"gridsearch: {len(table)} runs, best lr={best.lr} "
@@ -338,7 +326,7 @@ def cmd_lowresource(args) -> int:
              "test_accuracy": tr.evaluate(model, test_set),
              "seed": cfg.seed}
         )
-    _write_jsonl(out / "lowresource.jsonl", rows)
+    D.write_jsonl(out / "lowresource.jsonl", rows)
     _finish(args, {**resolved, "fractions": fractions}, [out / "lowresource.jsonl"])
     for row in rows:
         print(f"lowresource: {row['fraction_percent']:g}% -> test {row['test_accuracy']:.4f}")
@@ -377,7 +365,7 @@ def cmd_transfer(args) -> int:
             rows.append({"run": name, "seed": seed, "split": "test", "accuracy": acc})
         rows.append({"run": name, "split": "test", "mean": result["mean"],
                      "variance": result["variance"]})
-    _write_jsonl(out / "transfer.jsonl", rows)
+    D.write_jsonl(out / "transfer.jsonl", rows)
     _finish(args, {**resolved, "fraction": fraction, "seeds": seeds},
             [out / "transfer.jsonl"])
     print(f"transfer: scratch {scratch['mean']:.4f} -> transfer {transferred['mean']:.4f}")
@@ -398,7 +386,7 @@ def cmd_perturb(args) -> int:
         mode=args.mode, relation_set=relations, k=args.k, seed=args.seed
     )
     rows = an.perturbation_experiment(model, instances, [spec], antonyms)
-    _write_jsonl(out / "perturb.jsonl", rows)
+    D.write_jsonl(out / "perturb.jsonl", rows)
     _finish(args, {"mode": args.mode, "task": task}, [out / "perturb.jsonl"])
     for row in rows:
         print(f"perturb: {row['spec']} accuracy {row['accuracy']:.4f} "
@@ -422,7 +410,7 @@ def cmd_ablate(args) -> int:
         heads, layers, mc, vocab, train_set, dev_set, test_set, tc,
         arch=resolved["arch"],
     )
-    _write_jsonl(out / "ablation.jsonl", grid)
+    D.write_jsonl(out / "ablation.jsonl", grid)
     _finish(args, {**resolved, "heads": heads, "layers": layers},
             [out / "ablation.jsonl"])
     for cell in grid:
@@ -450,7 +438,7 @@ def cmd_inspect(args) -> int:
                  "attention_mass": rule.attention_mass,
                  "similarity": rule.similarity, "relevance": rule.relevance}
             )
-    _write_jsonl(out / "attention.jsonl", rows)
+    D.write_jsonl(out / "attention.jsonl", rows)
     _finish(args, {"task": task, "split": args.split}, [out / "attention.jsonl"])
     print(f"inspect: wrote per-rule reports for {len(instances)} instances")
     return 0
@@ -499,7 +487,7 @@ def cmd_build_cip(args) -> int:
     rewrites = D.parse_rewrites(args.data)
     instances = D.build_cip_from_rewrites(rewrites, seed=args.seed)
     path = out / "cip_built.jsonl"
-    _write_jsonl(path, [D.cip_record(i) for i in instances])
+    D.write_jsonl(path, [D.cip_record(i) for i in instances])
     counts = {"yes": sum(1 for i in instances if i.gold == "yes"),
               "no": sum(1 for i in instances if i.gold == "no")}
     _write_json(out / "build_cip_report.json", counts)

@@ -6,9 +6,8 @@ Three stacks share one construction idiom:
 * a knowledge encoder (causally masked self-attention with its own token and
   position tables, repeated over know_layers blocks),
 * a reasoning stack whose blocks cross-attend from the running context
-  representation (query) to the encoded knowledge (keys and values), refine
-  it through feed-forward sublayers, and keep their attention weights around
-  for inspection.
+  representation (query) to the encoded knowledge (keys and values) and
+  refine it through feed-forward sublayers.
 
 A linear head maps the [CLS] position of the final representation to one
 logit per option: two independent per-option passes with shared weights for
@@ -16,22 +15,24 @@ abductive pairs, a single pass thresholded at zero for counterfactual
 invariance. The joint baseline prepends verbalized knowledge to the task
 sequence and uses the context encoder alone; the blind baseline never sees
 knowledge at all.
+
+Forward keeps no state on the model: every block returns its attention
+weights, and `forward(instance)` returns (logits, prediction, traces), where
+traces maps each option to the `OptionTrace` the analysis module reads
+(empty for the two baselines).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from . import text as tx
-from .data import AlphaNliInstance, CipInstance, verbalize_rule
+from .data import NO, YES, AlphaNliInstance, CipInstance, verbalize_rule
 from .errors import ConfigError, DimensionError, EncodingError
 from .tensor import Tensor
-
-YES, NO = "yes", "no"
 
 ARCHS = ("mhka", "joint", "blind")
 
@@ -106,7 +107,6 @@ class Block:
         self.w1, self.b1 = _normal(rng, (d, f), dt), _zeros(f, dt)
         self.w2, self.b2 = _normal(rng, (f, d), dt), _zeros(d, dt)
         self.ln2_g, self.ln2_b = _ones(d, dt), _zeros(d, dt)
-        self.last_attention: Optional[np.ndarray] = None
         self._masks: dict[int, np.ndarray] = {}
 
     def params(self) -> dict[str, Tensor]:
@@ -123,27 +123,22 @@ class Block:
             self._masks[n] = T.causal_mask(n, dtype=self.cfg.np_dtype)
         return self._masks[n]
 
-    def attend(self, x: Tensor, memory: Optional[Tensor] = None):
-        """Projected multi-head attention; returns (output, weights)."""
+    def forward(self, x: Tensor, memory=None, training=False, rng=None):
+        """(output, attention weights of shape (heads, queries, keys))."""
         kv = memory if memory is not None else x
         q = T.matmul(x, self.wq) + self.bq
         k = T.matmul(kv, self.wk) + self.bk
         v = T.matmul(kv, self.wv) + self.bv
         mask = self._mask(x.shape[0]) if (self.causal and memory is None) else None
         attn, weights = T.attention(q, k, v, self.cfg.n_heads, mask=mask)
-        out = T.matmul(attn, self.wo) + self.bo
-        return out, weights
-
-    def forward(self, x: Tensor, memory=None, training=False, rng=None) -> Tensor:
-        attn, weights = self.attend(x, memory)
-        self.last_attention = weights
+        attn = T.matmul(attn, self.wo) + self.bo
         if training and self.cfg.dropout:
             attn = T.dropout(attn, self.cfg.dropout, rng)
         h = T.layer_norm(x + attn, self.ln1_g, self.ln1_b)
         ff = T.matmul(T.gelu(T.matmul(h, self.w1) + self.b1), self.w2) + self.b2
         if training and self.cfg.dropout:
             ff = T.dropout(ff, self.cfg.dropout, rng)
-        return T.layer_norm(h + ff, self.ln2_g, self.ln2_b)
+        return T.layer_norm(h + ff, self.ln2_g, self.ln2_b), weights
 
 
 class Encoder:
@@ -162,7 +157,8 @@ class Encoder:
             out.update({f"b{i}.{k}": v for k, v in blk.params().items()})
         return out
 
-    def encode(self, ids: np.ndarray, training=False, rng=None) -> Tensor:
+    def encode(self, ids: np.ndarray, training=False, rng=None):
+        """(hidden states, [attention weights per block])."""
         ids = np.asarray(ids)
         if len(ids) > self.cfg.max_positions:
             raise EncodingError(
@@ -173,9 +169,11 @@ class Encoder:
                 f"token id out of range for vocabulary of {self.cfg.vocab_size}"
             )
         h = T.embedding(self.tok_emb, ids) + T.slice_rows(self.pos_emb, 0, len(ids))
+        weights = []
         for blk in self.blocks:
-            h = blk.forward(h, training=training, rng=rng)
-        return h
+            h, w = blk.forward(h, training=training, rng=rng)
+            weights.append(w)
+        return h, weights
 
 
 class ReasoningStack:
@@ -194,30 +192,18 @@ class ReasoningStack:
             out.update({f"b{i}.{k}": v for k, v in blk.params().items()})
         return out
 
-    def add_positions(self, h_x: Tensor) -> Tensor:
-        return h_x + T.slice_rows(self.pos_emb, 0, h_x.shape[0])
-
-    def attention(self, h_x: Tensor, h_k: Tensor):
-        """First-block cross-attention only: (refined query rows, weights)."""
+    def forward(self, h_x: Tensor, h_k: Tensor, training=False, rng=None):
+        """(refined query rows, [cross-attention weights per block])."""
         if h_x.shape[1] != h_k.shape[1]:
             raise DimensionError(
                 f"context width {h_x.shape[1]} != knowledge width {h_k.shape[1]}"
             )
-        return self.blocks[0].attend(self.add_positions(h_x), memory=h_k)
-
-    def forward(self, h_x: Tensor, h_k: Tensor, training=False, rng=None) -> Tensor:
-        if h_x.shape[1] != h_k.shape[1]:
-            raise DimensionError(
-                f"context width {h_x.shape[1]} != knowledge width {h_k.shape[1]}"
-            )
-        h = self.add_positions(h_x)
+        h = h_x + T.slice_rows(self.pos_emb, 0, h_x.shape[0])
+        weights = []
         for blk in self.blocks:
-            h = blk.forward(h, memory=h_k, training=training, rng=rng)
-        return h
-
-    @property
-    def last_attention(self) -> Optional[np.ndarray]:
-        return self.blocks[-1].last_attention
+            h, w = blk.forward(h, memory=h_k, training=training, rng=rng)
+            weights.append(w)
+        return h, weights
 
 
 class Head:
@@ -249,17 +235,19 @@ def classify(scores: np.ndarray):
 
 @dataclass
 class OptionTrace:
-    """Per-option forward artifacts kept for the analysis module."""
+    """What one option's forward computed, for the analysis module. The
+    arrays belong to that call alone: each forward builds fresh ones."""
 
-    logit: float
     knowledge_seq: tx.TokenSequence
     knowledge_hidden: np.ndarray
-    reasoning_attention: np.ndarray  # (heads, queries, knowledge positions)
+    reasoning_attention: np.ndarray  # final layer: (heads, queries, knowledge positions)
     cls_vector: np.ndarray
 
 
 class _Base:
-    """Shared plumbing: parameter map, rng, train/eval switch."""
+    """Shared plumbing: parameter map, rng, train/eval switch, and the option
+    loop of both tasks. Each architecture supplies `_option(task_seq, rules)
+    -> (logit tensor of shape (1,), OptionTrace or None)`."""
 
     arch: str
 
@@ -289,18 +277,43 @@ class _Base:
     def _know_limit(self) -> int:
         return min(tx.MAX_KNOWLEDGE_POSITIONS, self.cfg.max_positions)
 
-    def predict(self, instance):
+    def _option(self, task_seq: tx.TokenSequence, rules):
+        raise NotImplementedError
+
+    def forward_alpha_nli(self, instance: AlphaNliInstance):
+        """Both options run independently with shared weights; returns
+        (logits tensor of shape (2,), predicted option, traces)."""
+        logits, traces = [], {}
+        for option in (1, 2):
+            seq = tx.encode_alpha_nli(instance, option, self.vocab, self._task_limit())
+            logit, trace = self._option(seq, instance.rules_per_option[option - 1])
+            logits.append(logit)
+            if trace is not None:
+                traces[option] = trace
+        stacked = T.concat(logits, axis=0)
+        return stacked, classify(stacked.data), traces
+
+    def forward_cip(self, instance: CipInstance):
+        """Single factual/counterfactual sequence, one logit, thresholded at
+        zero (strictly positive means yes); returns (logit, answer, traces)."""
+        seq = tx.encode_cip(instance, self.vocab, self._task_limit())
+        logit, trace = self._option(seq, instance.rules)
+        return logit, classify(logit.data), {} if trace is None else {1: trace}
+
+    def forward(self, instance):
+        """(logits, prediction, {option: OptionTrace}) for either task."""
         if isinstance(instance, AlphaNliInstance):
-            return self.forward_alpha_nli(instance)[1]
-        return self.forward_cip(instance)[1]
+            return self.forward_alpha_nli(instance)
+        return self.forward_cip(instance)
+
+    def predict(self, instance):
+        return self.forward(instance)[1]
 
     def instance_loss(self, instance):
         """(cross-entropy loss tensor, prediction-correct flag)."""
-        if isinstance(instance, AlphaNliInstance):
-            logits, pred = self.forward_alpha_nli(instance)
-            return T.cross_entropy(logits, instance.gold - 1), pred == instance.gold
-        logit, answer = self.forward_cip(instance)
-        return T.cross_entropy(logit, instance.gold), answer == instance.gold
+        logits, pred, _ = self.forward(instance)
+        gold = instance.gold - 1 if isinstance(instance, AlphaNliInstance) else instance.gold
+        return T.cross_entropy(logits, gold), pred == instance.gold
 
 
 class MhkaModel(_Base):
@@ -314,7 +327,6 @@ class MhkaModel(_Base):
             self.know.tok_emb = self.ctx.tok_emb
         self.reason = ReasoningStack(self.rng, cfg)
         self.head = Head(self.rng, cfg)
-        self.last_traces: dict[int, OptionTrace] = {}
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"ctx.{k}": v for k, v in self.ctx.params().items()}
@@ -326,55 +338,21 @@ class MhkaModel(_Base):
         out.update({f"head.{k}": v for k, v in self.head.params().items()})
         return out
 
-    def encode_context(self, seq: tx.TokenSequence) -> Tensor:
-        return self.ctx.encode(seq.ids, training=self.training, rng=self.rng)
-
-    def encode_knowledge_stack(self, seq: tx.TokenSequence) -> Tensor:
-        return self.know.encode(seq.ids, training=self.training, rng=self.rng)
-
-    def reasoning_attention(self, h_x: Tensor, h_k: Tensor):
-        return self.reason.attention(h_x, h_k)
-
-    def reasoning_cell(self, h_x: Tensor, h_k: Tensor) -> Tensor:
-        return self.reason.forward(h_x, h_k, training=self.training, rng=self.rng)
-
-    def _option_forward(self, task_seq: tx.TokenSequence, rules) -> tuple[Tensor, OptionTrace]:
+    def _option(self, task_seq: tx.TokenSequence, rules) -> tuple[Tensor, OptionTrace]:
         know_seq = tx.encode_knowledge(
             [verbalize_rule(r) for r in rules], self.vocab, self._know_limit()
         )
-        h_x = self.encode_context(task_seq)
-        h_k = self.encode_knowledge_stack(know_seq)
-        refined = self.reasoning_cell(h_x, h_k)
+        h_x, _ = self.ctx.encode(task_seq.ids, training=self.training, rng=self.rng)
+        h_k, _ = self.know.encode(know_seq.ids, training=self.training, rng=self.rng)
+        refined, weights = self.reason.forward(h_x, h_k, training=self.training, rng=self.rng)
         logit = self.head.logit(refined)
         trace = OptionTrace(
-            logit=float(logit.data[0]),
             knowledge_seq=know_seq,
-            knowledge_hidden=h_k.data.copy(),
-            reasoning_attention=self.reason.last_attention.copy(),
-            cls_vector=refined.data[0].copy(),
+            knowledge_hidden=h_k.data,
+            reasoning_attention=weights[-1],
+            cls_vector=refined.data[0],
         )
         return logit, trace
-
-    def forward_alpha_nli(self, instance: AlphaNliInstance):
-        """Both options run independently with shared weights; returns
-        (logits tensor of shape (2,), predicted option)."""
-        logits = []
-        self.last_traces = {}
-        for option in (1, 2):
-            seq = tx.encode_alpha_nli(instance, option, self.vocab, self._task_limit())
-            logit, trace = self._option_forward(seq, instance.rules_per_option[option - 1])
-            logits.append(logit)
-            self.last_traces[option] = trace
-        stacked = T.concat(logits, axis=0)
-        return stacked, classify(stacked.data)
-
-    def forward_cip(self, instance: CipInstance):
-        """Single factual/counterfactual sequence, one logit, thresholded at
-        zero (strictly positive means yes)."""
-        seq = tx.encode_cip(instance, self.vocab, self._task_limit())
-        logit, trace = self._option_forward(seq, instance.rules)
-        self.last_traces = {1: trace}
-        return logit, classify(logit.data)
 
 
 class EncoderClassifier(_Base):
@@ -394,40 +372,16 @@ class EncoderClassifier(_Base):
         out.update({f"head.{k}": v for k, v in self.head.params().items()})
         return out
 
-    def _sequence(self, task_seq: tx.TokenSequence, rules) -> tx.TokenSequence:
-        if not self.use_knowledge:
-            return task_seq
-        # the combined sequence is a task input, so it lives under the task
-        # position budget; overflowing rules are dropped whole from the end
-        return tx.encode_joint(
-            task_seq, [verbalize_rule(r) for r in rules], self.vocab, self._task_limit()
-        )
-
-    def _logit(self, seq: tx.TokenSequence) -> Tensor:
-        h = self.ctx.encode(seq.ids, training=self.training, rng=self.rng)
-        return self.head.logit(h)
-
-    def forward_alpha_nli(self, instance: AlphaNliInstance):
-        logits = []
-        for option in (1, 2):
-            task = tx.encode_alpha_nli(instance, option, self.vocab, self._task_limit())
-            seq = self._sequence(task, instance.rules_per_option[option - 1])
-            logits.append(self._logit(seq))
-        stacked = T.concat(logits, axis=0)
-        return stacked, classify(stacked.data)
-
-    def forward_cip(self, instance: CipInstance):
-        task = tx.encode_cip(instance, self.vocab, self._task_limit())
-        logit = self._logit(self._sequence(task, instance.rules))
-        return logit, classify(logit.data)
-
-    def forward_joint_baseline(self, instance):
-        """Knowledge prepended to the task input, context encoder alone."""
-        if not self.use_knowledge:
-            raise ConfigError("forward_joint_baseline needs a joint-mode model")
-        if isinstance(instance, AlphaNliInstance):
-            return self.forward_alpha_nli(instance)
-        return self.forward_cip(instance)
+    def _option(self, task_seq: tx.TokenSequence, rules) -> tuple[Tensor, None]:
+        seq = task_seq
+        if self.use_knowledge:
+            # the combined sequence is a task input, so it lives under the task
+            # position budget; overflowing rules are dropped whole from the end
+            seq = tx.encode_joint(
+                task_seq, [verbalize_rule(r) for r in rules], self.vocab, self._task_limit()
+            )
+        h, _ = self.ctx.encode(seq.ids, training=self.training, rng=self.rng)
+        return self.head.logit(h), None
 
 
 def build_model(arch: str, cfg: ModelConfig, vocab: tx.Vocabulary, seed: int = 0) -> _Base:

@@ -2,84 +2,48 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .tensor import Tensor
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators plus the step counter."""
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ParameterError(
-                f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}"
-            )
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
-        if self.step < 0:
-            raise ParameterError(f"step counter must be non-negative, got {self.step}")
-
-
-def init_adam(params: dict[str, Tensor], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name, p in params.items():
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.zeros_like(p.data)
-    return state
-
-
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState):
-    """One in-place Adam update with bias-corrected moments.
-
-    The step counter increments before bias correction, so the first call
-    uses t = 1.
-    """
-    state.step += 1
-    t = state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise DimensionError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{name} shape {p.data.shape}"
-            )
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
-
-
 class Adam:
-    """Convenience wrapper reading gradients straight off the parameters."""
+    """In-place Adam with bias-corrected moments. Gradients are read straight
+    off the parameters; a parameter without one counts as a zero gradient."""
 
     def __init__(self, params: dict[str, Tensor], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+            raise ParameterError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
+        if eps <= 0:
+            raise ParameterError(f"eps must be positive, got {eps}")
         self.params = params
-        self.state = init_adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self):
-        grads = {
-            name: p.grad if p.grad is not None else np.zeros_like(p.data)
-            for name, p in self.params.items()
-        }
-        adam_step(self.params, grads, self.state)
+        """One update. The step counter increments before bias correction,
+        so the first call uses t = 1."""
+        self.t += 1
+        t = self.t
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise DimensionError(
+                    f"gradient shape {g.shape} does not match parameter "
+                    f"{name} shape {p.data.shape}"
+                )
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -118,10 +118,9 @@ def build_vocab(corpus: Iterable[str], min_count: int = 1) -> Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Encoded ids plus optional segment tags and per-rule token spans."""
+    """Encoded ids plus per-rule token spans."""
 
     ids: np.ndarray
-    segments: Optional[np.ndarray] = None
     rule_spans: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -164,15 +163,7 @@ def encode_alpha_nli(
         raise EncodingError(f"max_positions {max_positions} cannot hold the template")
     _truncate_longest_first(spans, max_positions - 3)
     ids = [vocab.cls_id, *spans[0], *spans[1], vocab.sep_id, *spans[2], vocab.sep_id]
-    segs = (
-        [0]
-        + [0] * len(spans[0])
-        + [1] * len(spans[1])
-        + [0]
-        + [2] * len(spans[2])
-        + [2]
-    )
-    seq = TokenSequence(np.array(ids), segments=np.array(segs, dtype=np.int64))
+    seq = TokenSequence(np.array(ids))
     _check_task_framing(seq, vocab)
     return seq
 
@@ -206,9 +197,7 @@ def encode_cip(
         + spans[5]
         + [vocab.sep_id]
     )
-    segs = [0] + [0] * (len(spans[0]) + len(spans[1]) + len(spans[2])) + [0]
-    segs += [1] * (len(spans[3]) + len(spans[4]) + len(spans[5])) + [1]
-    seq = TokenSequence(np.array(ids), segments=np.array(segs, dtype=np.int64))
+    seq = TokenSequence(np.array(ids))
     _check_task_framing(seq, vocab)
     return seq
 

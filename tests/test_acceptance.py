@@ -125,17 +125,14 @@ def test_criterion_2_attention_normalization_and_masking():
         w = int(rng.integers(2, 12))
         ctx_ids = rng.integers(5, len(vocab), size=m)
         know_ids = rng.integers(5, len(vocab), size=w)
-        h_x = model.encode_context(tx.TokenSequence(ctx_ids))
-        h_k = model.encode_knowledge_stack(tx.TokenSequence(know_ids))
-        model.reasoning_cell(h_x, h_k)
-        blocks = (
-            model.ctx.blocks + model.know.blocks + model.reason.blocks
-        )
-        for blk in blocks:
-            sums = blk.last_attention.sum(axis=-1)
+        h_x, ctx_weights = model.ctx.encode(ctx_ids)
+        h_k, know_weights = model.know.encode(know_ids)
+        _, reason_weights = model.reason.forward(h_x, h_k)
+        for weights in ctx_weights + know_weights + reason_weights:
+            sums = weights.sum(axis=-1)
             worst_row = max(worst_row, float(np.max(np.abs(sums - 1.0))))
         cut = int(rng.integers(1, w))
-        h_cut = model.encode_knowledge_stack(tx.TokenSequence(know_ids[:cut]))
+        h_cut, _ = model.know.encode(know_ids[:cut])
         worst_mask = max(
             worst_mask, float(np.max(np.abs(h_cut.data - h_k.data[:cut])))
         )

@@ -207,6 +207,25 @@ class TestInspect:
         with pytest.raises(PerturbationError):
             inspect(model, bare)
 
+    def test_report_independent_of_previous_forward(self, trained):
+        model, test, _, _, _ = trained
+        alone = [inspect(model, inst, option) for inst in test[:4] for option in (1, 2)]
+        after = []
+        for inst in test[:4]:
+            for option in (1, 2):
+                model.forward(test[-1])  # another instance runs forward first
+                after.append(inspect(model, inst, option))
+        assert alone == after
+
+    @pytest.mark.parametrize("arch", ["joint", "blind"])
+    def test_baselines_rejected(self, trained, arch):
+        _, test, decisive, vocab, mc = trained
+        baseline = build_model(arch, mc, vocab, seed=0)
+        with pytest.raises(ConfigError, match="needs an mhka model"):
+            inspect(baseline, test[0])
+        with pytest.raises(ConfigError, match="needs an mhka model"):
+            decisive_top_rate(baseline, test[:2], decisive)
+
     def test_decisive_top_rate_shape(self, trained):
         model, test, decisive, _, _ = trained
         out = decisive_top_rate(model, test[:6], decisive)

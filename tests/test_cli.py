@@ -1,10 +1,14 @@
 """End-to-end command surface: files in, reports and manifests out."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mhka
 from mhka.cli import main, run_from_manifest
 
 
@@ -226,6 +230,21 @@ class TestOtherCommands:
 
 
 class TestErrors:
+    def test_inspect_on_blind_checkpoint_is_typed_error(self, dataset, tmp_path):
+        run("train", "--data", dataset, "--out", tmp_path / "blind", "--seed", 3,
+            "--d_model", 8, "--n_heads", 2, "--ctx_layers", 1, "--d_ff", 16,
+            "--epochs", 1, "--batch_size", 4, "--arch", "blind")
+        env = {**os.environ, "PYTHONPATH": str(Path(mhka.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhka.cli", "inspect", "--data", str(dataset),
+             "--checkpoint", str(tmp_path / "blind" / "checkpoint.npz"),
+             "--out", str(tmp_path / "i"), "--split", "test", "--k", "2"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error[ConfigError]")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_categorized(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")])

@@ -82,22 +82,22 @@ class TestConfig:
 class TestContextEncoder:
     def test_output_shape(self, vocab):
         model = make_model(vocab)
-        seq = tx.TokenSequence(np.array([0, 5, 6, 7, 1]))
-        h = model.encode_context(seq)
+        h, weights = model.ctx.encode(np.array([0, 5, 6, 7, 1]))
         assert h.shape == (5, 8)
+        assert [w.shape for w in weights] == [(2, 5, 5)]
 
     def test_eval_determinism(self, vocab):
         model = make_model(vocab)
-        seq = tx.TokenSequence(np.array([0, 5, 6, 1]))
-        a = model.encode_context(seq).data
-        b = model.encode_context(seq).data
+        ids = np.array([0, 5, 6, 1])
+        a = model.ctx.encode(ids)[0].data
+        b = model.ctx.encode(ids)[0].data
         assert np.array_equal(a, b)
 
     def test_bidirectional_sensitivity(self, vocab):
         # perturbing a later token changes earlier outputs: no causal mask
         model = make_model(vocab)
-        a = model.encode_context(tx.TokenSequence(np.array([0, 5, 6, 1]))).data
-        b = model.encode_context(tx.TokenSequence(np.array([0, 5, 7, 1]))).data
+        a = model.ctx.encode(np.array([0, 5, 6, 1]))[0].data
+        b = model.ctx.encode(np.array([0, 5, 7, 1]))[0].data
         assert not np.allclose(a[1], b[1])
 
 
@@ -105,41 +105,47 @@ class TestKnowledgeEncoder:
     def test_causal_invariance_under_truncation(self, vocab):
         model = make_model(vocab)
         ids = np.array([5, 6, 7, 8, 9, 10])
-        full = model.encode_knowledge_stack(tx.TokenSequence(ids)).data
+        full = model.know.encode(ids)[0].data
         for cut in (2, 4):
-            part = model.encode_knowledge_stack(tx.TokenSequence(ids[:cut])).data
+            part = model.know.encode(ids[:cut])[0].data
             assert np.max(np.abs(part - full[:cut])) < 1e-6
 
     def test_output_shape(self, vocab):
         model = make_model(vocab)
-        h = model.encode_knowledge_stack(tx.TokenSequence(np.array([5, 6, 7])))
+        h, _ = model.know.encode(np.array([5, 6, 7]))
         assert h.shape == (3, 8)
+
+
+def _context(model, ids):
+    return model.ctx.encode(np.array(ids))[0]
+
+
+def _knowledge(model, ids):
+    return model.know.encode(np.array(ids))[0]
 
 
 class TestReasoningCell:
     def test_singleton_knowledge_attention_is_one(self, vocab):
         model = make_model(vocab)
-        h_x = model.encode_context(tx.TokenSequence(np.array([0, 5, 1])))
-        h_k = model.encode_knowledge_stack(tx.TokenSequence(np.array([4])))
-        _, weights = model.reasoning_attention(h_x, h_k)
-        assert np.allclose(weights, 1.0)
+        _, weights = model.reason.forward(_context(model, [0, 5, 1]), _knowledge(model, [4]))
+        assert np.allclose(weights[0], 1.0)
 
     def test_identical_keys_uniform(self, vocab):
         model = make_model(vocab)
-        h_x = model.encode_context(tx.TokenSequence(np.array([0, 5, 1])))
-        h_k = model.encode_knowledge_stack(tx.TokenSequence(np.array([6, 6, 6])))
+        h_x = _context(model, [0, 5, 1])
+        h_k = _knowledge(model, [6, 6, 6])
         # same token, but positions differ; force identical rows instead
         h_k = Tensor(np.tile(h_k.data[:1], (4, 1)))
-        _, weights = model.reasoning_attention(h_x, h_k)
-        assert np.allclose(weights, 0.25)
+        _, weights = model.reason.forward(h_x, h_k)
+        assert np.allclose(weights[0], 0.25)
 
     def test_query_length_preserved(self, vocab):
         for layers in (1, 2, 3):
             model = make_model(vocab, reason_layers=layers)
-            h_x = model.encode_context(tx.TokenSequence(np.array([0, 5, 6, 1])))
-            h_k = model.encode_knowledge_stack(tx.TokenSequence(np.array([7, 8])))
-            out = model.reasoning_cell(h_x, h_k)
+            h_x = _context(model, [0, 5, 6, 1])
+            out, weights = model.reason.forward(h_x, _knowledge(model, [7, 8]))
             assert out.shape == h_x.shape
+            assert len(weights) == layers
 
     def test_zeroed_value_path_severs_knowledge(self, vocab):
         model = make_model(vocab)
@@ -148,33 +154,24 @@ class TestReasoningCell:
             blk.bv.data[:] = 0.0
             blk.wo.data[:] = 0.0
             blk.bo.data[:] = 0.0
-        h_x = model.encode_context(tx.TokenSequence(np.array([0, 5, 6, 1])))
-        out1 = model.reasoning_cell(
-            h_x, model.encode_knowledge_stack(tx.TokenSequence(np.array([7, 8])))
-        ).data
-        out2 = model.reasoning_cell(
-            h_x, model.encode_knowledge_stack(tx.TokenSequence(np.array([9, 10, 11])))
-        ).data
+        h_x = _context(model, [0, 5, 6, 1])
+        out1 = model.reason.forward(h_x, _knowledge(model, [7, 8]))[0].data
+        out2 = model.reason.forward(h_x, _knowledge(model, [9, 10, 11]))[0].data
         assert np.allclose(out1, out2)
 
     def test_depth_changes_output(self, vocab):
         one = make_model(vocab, reason_layers=1)
         two = make_model(vocab, reason_layers=2)
-        inst_ids = tx.TokenSequence(np.array([0, 5, 6, 1]))
-        know_ids = tx.TokenSequence(np.array([7, 8]))
-        a = one.reasoning_cell(
-            one.encode_context(inst_ids), one.encode_knowledge_stack(know_ids)
-        ).data
-        b = two.reasoning_cell(
-            two.encode_context(inst_ids), two.encode_knowledge_stack(know_ids)
-        ).data
+        inst_ids, know_ids = [0, 5, 6, 1], [7, 8]
+        a = one.reason.forward(_context(one, inst_ids), _knowledge(one, know_ids))[0].data
+        b = two.reason.forward(_context(two, inst_ids), _knowledge(two, know_ids))[0].data
         assert not np.allclose(a, b)
 
     def test_width_mismatch(self, vocab):
         model = make_model(vocab)
-        h_x = model.encode_context(tx.TokenSequence(np.array([0, 5, 1])))
+        h_x = _context(model, [0, 5, 1])
         with pytest.raises(DimensionError):
-            model.reasoning_cell(h_x, Tensor(np.zeros((2, 4))))
+            model.reason.forward(h_x, Tensor(np.zeros((2, 4))))
 
 
 class TestClassify:
@@ -191,12 +188,12 @@ class TestClassify:
 class TestAlphaForward:
     def test_option_swap_swaps_logits_exactly(self, vocab, alpha):
         model = make_model(vocab)
-        logits, pred = model.forward_alpha_nli(alpha)
+        logits, pred, _ = model.forward(alpha)
         swapped = AlphaNliInstance(
             id="t1s", o1=alpha.o1, o2=alpha.o2, h1=alpha.h2, h2=alpha.h1,
             gold=2, rules_per_option=[alpha.rules_per_option[1], alpha.rules_per_option[0]],
         )
-        logits_s, pred_s = model.forward_alpha_nli(swapped)
+        logits_s, pred_s, _ = model.forward(swapped)
         assert logits.data[0] == logits_s.data[1]
         assert logits.data[1] == logits_s.data[0]
         if pred == 1:
@@ -208,7 +205,7 @@ class TestAlphaForward:
             id="t2", o1=alpha.o1, o2=alpha.o2, h1=alpha.h1, h2=alpha.h1,
             gold=1, rules_per_option=[alpha.rules_per_option[0], alpha.rules_per_option[0]],
         )
-        logits, pred = model.forward_alpha_nli(same)
+        logits, pred, _ = model.forward(same)
         assert logits.data[0] == logits.data[1]
         assert pred == 1
 
@@ -218,15 +215,15 @@ class TestAlphaForward:
             id="t3", o1=alpha.o1, o2=alpha.o2, h1=alpha.h1, h2=alpha.h2,
             gold=1, rules_per_option=[[], []],
         )
-        logits, _ = model.forward_alpha_nli(bare)
+        logits, _, traces = model.forward(bare)
         assert np.all(np.isfinite(logits.data))
-        assert model.last_traces[1].knowledge_seq.ids.tolist() == [vocab.noknow_id]
+        assert traces[1].knowledge_seq.ids.tolist() == [vocab.noknow_id]
 
 
 class TestCipForward:
     def test_sign_rule_no_dead_zone(self, vocab, cip):
         model = make_model(vocab)
-        logit, answer = model.forward_cip(cip)
+        logit, answer, _ = model.forward(cip)
         assert answer == ("yes" if logit.data[0] > 0 else "no")
 
     def test_loss_uses_binary_gold(self, vocab, cip):
@@ -238,28 +235,29 @@ class TestCipForward:
 class TestBaselines:
     def test_blind_ignores_knowledge(self, vocab, alpha):
         model = make_model(vocab, arch="blind")
-        logits_a, _ = model.forward_alpha_nli(alpha)
+        logits_a, _, traces = model.forward(alpha)
+        assert traces == {}
         stripped = AlphaNliInstance(
             id="t4", o1=alpha.o1, o2=alpha.o2, h1=alpha.h1, h2=alpha.h2,
             gold=1, rules_per_option=[[], []],
         )
-        logits_b, _ = model.forward_alpha_nli(stripped)
+        logits_b, _, _ = model.forward(stripped)
         assert np.array_equal(logits_a.data, logits_b.data)
 
     def test_joint_sees_knowledge(self, vocab, alpha):
         model = make_model(vocab, arch="joint")
-        logits_a, _ = model.forward_alpha_nli(alpha)
+        logits_a, _, _ = model.forward(alpha)
         stripped = AlphaNliInstance(
             id="t5", o1=alpha.o1, o2=alpha.o2, h1=alpha.h1, h2=alpha.h2,
             gold=1, rules_per_option=[[], []],
         )
-        logits_b, _ = model.forward_alpha_nli(stripped)
+        logits_b, _, _ = model.forward(stripped)
         assert not np.array_equal(logits_a.data, logits_b.data)
 
     def test_joint_deterministic(self, vocab, alpha):
         model = make_model(vocab, arch="joint")
-        a, _ = model.forward_alpha_nli(alpha)
-        b, _ = model.forward_alpha_nli(alpha)
+        a, _, _ = model.forward(alpha)
+        b, _, _ = model.forward(alpha)
         assert np.array_equal(a.data, b.data)
 
     def test_unknown_arch(self, vocab):
@@ -276,11 +274,9 @@ class TestAttentionRows:
             n_k = int(rng.integers(1, 8))
             ids = rng.integers(5, len(vocab), size=n_ctx)
             kids = rng.integers(5, len(vocab), size=n_k)
-            h_x = model.encode_context(tx.TokenSequence(ids))
-            h_k = model.encode_knowledge_stack(tx.TokenSequence(kids))
-            model.reasoning_cell(h_x, h_k)
-            for blk in model.reason.blocks:
-                sums = blk.last_attention.sum(axis=-1)
+            _, weights = model.reason.forward(_context(model, ids), _knowledge(model, kids))
+            for w in weights:
+                sums = w.sum(axis=-1)
                 assert np.max(np.abs(sums - 1.0)) < 1e-6
 
 
@@ -348,8 +344,7 @@ class TestFloat32Graph:
         m32.eval_mode()
         m64.eval_mode()
         for inst in suites["alpha"] + suites["cip"]:
-            forward = "forward_alpha_nli" if isinstance(inst, AlphaNliInstance) else "forward_cip"
-            z32 = getattr(m32, forward)(inst)[0].data
-            z64 = getattr(m64, forward)(inst)[0].data
+            z32 = m32.forward(inst)[0].data
+            z64 = m64.forward(inst)[0].data
             assert z32.dtype == np.float32
             assert np.all(np.abs(z32 - z64) <= 1e-5 * (1.0 + np.abs(z64))), inst.id

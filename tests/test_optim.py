@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhka.errors import DimensionError, ParameterError
-from mhka.optim import Adam, AdamState, adam_step, init_adam
+from mhka.optim import Adam
 from mhka.tensor import Tensor
 
 
@@ -14,18 +14,24 @@ def _params(values):
 
 def test_zero_gradient_leaves_parameters_unchanged():
     params = _params({"w": [1.0, -2.0, 3.0]})
-    state = init_adam(params, lr=0.1)
+    opt = Adam(params, lr=0.1)
     before = params["w"].data.copy()
-    adam_step(params, {"w": np.zeros(3)}, state)
+    params["w"].grad = np.zeros(3)
+    opt.step()
     assert np.array_equal(params["w"].data, before)
-    assert state.step == 1
+    assert opt.t == 1
+    opt.zero_grad()  # a missing gradient counts as zero
+    opt.step()
+    assert np.array_equal(params["w"].data, before)
+    assert opt.t == 2
 
 
 def test_sign_sgd_limit():
     # beta1 = beta2 = 0: m = g = 1, v = 1, update = lr / (1 + eps)
     params = _params({"w": [5.0]})
-    state = init_adam(params, lr=0.1, beta1=0.0, beta2=0.0, eps=1e-8)
-    adam_step(params, {"w": np.ones(1)}, state)
+    opt = Adam(params, lr=0.1, beta1=0.0, beta2=0.0, eps=1e-8)
+    params["w"].grad = np.ones(1)
+    opt.step()
     assert np.isclose(params["w"].data[0], 5.0 - 0.1, atol=1e-6)
 
 
@@ -48,8 +54,9 @@ def test_deterministic_trajectories():
 def test_bias_correction_first_step_matches_closed_form():
     params = _params({"w": [0.0]})
     g = np.array([0.3])
-    state = init_adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-    adam_step(params, {"w": g}, state)
+    opt = Adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    params["w"].grad = g
+    opt.step()
     # m_hat = g, v_hat = g^2 at t = 1 regardless of betas
     expected = -0.01 * g / (np.abs(g) + 1e-8)
     assert np.allclose(params["w"].data, expected)
@@ -57,15 +64,17 @@ def test_bias_correction_first_step_matches_closed_form():
 
 def test_shape_mismatch_rejected():
     params = _params({"w": [1.0, 2.0]})
-    state = init_adam(params)
+    opt = Adam(params)
+    params["w"].grad = np.zeros((2, 1))
     with pytest.raises(DimensionError):
-        adam_step(params, {"w": np.zeros((2, 1))}, state)
+        opt.step()
 
 
 def test_state_validation():
+    params = _params({"w": [1.0]})
     with pytest.raises(ParameterError):
-        AdamState(beta1=1.0)
+        Adam(params, beta1=1.0)
     with pytest.raises(ParameterError):
-        AdamState(eps=0.0)
+        Adam(params, beta2=-0.1)
     with pytest.raises(ParameterError):
-        AdamState(step=-1)
+        Adam(params, eps=0.0)

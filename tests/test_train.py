@@ -240,18 +240,17 @@ class TestTransfer:
         ckpt = tmp_path / "cip.npz"
         save_checkpoint(ckpt, model)
         from mhka.checkpoint import load_checkpoint
-        from mhka import text as tx
 
         loaded = load_checkpoint(ckpt)
         loaded.head.reinit(np.random.default_rng(0), loaded.cfg)
         loaded.eval_mode()
         model.eval_mode()
-        probe = tx.TokenSequence(np.array([0, 5, 6, 7, 1]))
-        a = model.encode_context(probe).data
-        b = loaded.encode_context(probe).data
+        probe = np.array([0, 5, 6, 7, 1])
+        a = model.ctx.encode(probe)[0].data
+        b = loaded.ctx.encode(probe)[0].data
         assert np.array_equal(a, b)
-        ka = model.encode_knowledge_stack(tx.TokenSequence(np.array([5, 8]))).data
-        kb = loaded.encode_knowledge_stack(tx.TokenSequence(np.array([5, 8]))).data
+        ka = model.know.encode(np.array([5, 8]))[0].data
+        kb = loaded.know.encode(np.array([5, 8]))[0].data
         assert np.array_equal(ka, kb)
 
     def test_untrained_transferred_head_sits_near_chance(self, tmp_path):
@@ -324,5 +323,5 @@ class TestSyntheticRegimeProbe:
                                relation="xReact", tail=AFFIRM)],
             ],
         )
-        _, prediction = model.forward_alpha_nli(dotty)
+        _, prediction, _ = model.forward(dotty)
         assert prediction == 2
